@@ -140,6 +140,68 @@ let test_rng_deterministic () =
     (List.init 10 (fun _ -> Workloads.Rng.int a 1000)
     <> List.init 10 (fun _ -> Workloads.Rng.int c 1000))
 
+(* Golden digests of the optimizer's printed output.  Extraction must stay
+   byte-identical across refactors of the e-graph, the matcher or the
+   extractor: every pair below is optimized under the shipped default
+   configuration (static tiers off; they only gate) and the MD5 of the
+   printed module compared with the digest recorded when the pin was
+   added.  A mismatch prints the new digest; update the table only for a
+   change that is meant to alter the optimizer's choices. *)
+
+(* the paper benchmarks at Table 2 compile scale: the matmul chains at
+   paper dimensions, the others at a hundredth of the default scale *)
+let golden_scale (b : Workloads.Benchmark.t) =
+  if b.name = "2MM" || b.name = "3MM" then b.default_scale else max 2 (b.default_scale / 100)
+
+(* the suite already holds 2MM and 3MM, so the chains continue at 4MM *)
+let golden_inputs () =
+  List.map (fun (b : Workloads.Benchmark.t) -> (b, golden_scale b)) Workloads.Suite.all
+  @ List.init 11 (fun k -> (Workloads.Matmul_chain.benchmark_nmm (k + 4), k + 4))
+
+let golden_digests =
+  [
+    ("img-conv", "2dcb173524e50076eb2fba2332ed4d8b");
+    ("vec-norm", "f4340d46cbb1a8cef60c361ef487d217");
+    ("poly", "b003709baff4c7529b678b89e305233e");
+    ("2MM", "5d5a1e5567af6288de5f5ce09b1a5fb5");
+    ("3MM", "fe0e7e95b41f11e615bfdbbf5c6f61f5");
+    ("4MM", "7d169ee80cab79f4f89a7b555c2138d5");
+    ("5MM", "10ba1312ad4ec270a4079dcf80e1a61f");
+    ("6MM", "c292920d998cce7e7703ff12b6d9f492");
+    ("7MM", "5fe7bba1de850c94be7ac7b07ab63bb1");
+    ("8MM", "8d9d1a0b2b35ddfb3c82a8347791970e");
+    ("9MM", "2f6ce8b9fe99b666648fbd44e6c93ecf");
+    ("10MM", "ba44c6b34c23eb18e451e17891432005");
+    ("11MM", "a6049e8bbf09204510414aa9442e5830");
+    ("12MM", "b48d6417a2914c908fa6be318b7f9455");
+    ("13MM", "1b5db0328ee9eedbfa4192dd852c6026");
+    ("14MM", "3bb3bc43304daaff16e5d1685bae91fe");
+  ]
+
+let optimized_digest (b : Workloads.Benchmark.t) ~scale =
+  let config =
+    {
+      Dialegg.Pipeline.default_config with
+      rules = b.rules;
+      lint = false;
+      vet = false;
+      audit = false;
+    }
+  in
+  let out, _ = Dialegg.Pipeline.optimize_source ~config (b.source ~scale) in
+  Digest.to_hex (Digest.string out)
+
+let test_golden_output () =
+  let inputs = golden_inputs () in
+  checki "one digest per input" (List.length golden_digests) (List.length inputs);
+  List.iter2
+    (fun ((b : Workloads.Benchmark.t), scale) (name, expected) ->
+      Alcotest.(check string) "input order" name b.name;
+      Alcotest.(check string)
+        (Printf.sprintf "%s at scale %d: printed output digest" b.name scale)
+        expected (optimized_digest b ~scale))
+    inputs golden_digests
+
 let () =
   let correctness =
     List.map
@@ -172,4 +234,5 @@ let () =
           Alcotest.test_case "6MM improves" `Slow test_nmm_pipeline_improves;
           Alcotest.test_case "rng determinism" `Quick test_rng_deterministic;
         ] );
+      ("golden", [ Alcotest.test_case "optimized output digests" `Slow test_golden_output ]);
     ]
