@@ -414,21 +414,22 @@ let iter_rows_stamped t f (k : Value.t array -> Value.t -> int -> unit) =
 (** Iterate rows as (canonical args, canonical output). *)
 let iter_rows t f k = iter_rows_stamped t f (fun args out _ -> k args out)
 
-(** Fold over rows of [f]. *)
-let fold_rows t f init k =
-  let acc = ref init in
-  iter_rows t f (fun args out -> acc := k !acc args out);
-  !acc
-
-(** Number of canonical e-classes that appear as some row's output. *)
+(** Number of canonical e-classes that appear as some row's output.  Reads
+    outputs only: no argument is decoded or canonicalized. *)
 let n_classes t =
   let seen = Hashtbl.create 64 in
+  let note id = Hashtbl.replace seen (find_class t id) () in
   Symbol.Tbl.iter
     (fun _ f ->
-      iter_rows t f (fun _ out ->
-          match out with
-          | Value.Eclass id -> Hashtbl.replace seen (find_class t id) ()
-          | _ -> ()))
+      match f.store with
+      | S_hash tbl ->
+        Value.Args_tbl.iter
+          (fun _ row -> match row.out with Value.Eclass id -> note id | _ -> ())
+          tbl
+      | S_arena a ->
+        Arena.iter_live a (fun r ->
+            let c = Arena.out_code a r in
+            if Arena.is_class_code c then note (Arena.class_of_code c)))
     t.funcs;
   Hashtbl.length seen
 
@@ -469,8 +470,7 @@ let rebuild_pass_hash t f tbl =
         else (args, row) :: acc)
       tbl []
   in
-  if stale = [] then false
-  else begin
+  if stale <> [] then begin
     List.iter (fun (args, _) -> Value.Args_tbl.remove tbl args) stale;
     List.iter
       (fun (args, row) ->
@@ -492,8 +492,7 @@ let rebuild_pass_hash t f tbl =
           f.last_modified <- existing.stamp;
           log_append f args' existing;
           t.n_rows_cache <- t.n_rows_cache - 1)
-      stale;
-    true
+      stale
   end
 
 (* one re-canonicalization pass over an arena store: stale rows are killed
@@ -512,7 +511,7 @@ let rebuild_pass_arena t f (a : Arena.table) =
       done;
       if not !ok then stale := r :: !stale);
   match !stale with
-  | [] -> false
+  | [] -> ()
   | stale ->
     List.iter
       (fun r ->
@@ -541,28 +540,7 @@ let rebuild_pass_arena t f (a : Arena.table) =
             f.last_modified <- stamp;
             t.n_rows_cache <- t.n_rows_cache - 1
         end)
-      (List.rev stale);
-    true
-
-(** One pass of table re-canonicalization over [fs.(0..limit)].  Returns
-    (changed, last function index whose scan performed a union, or -1).
-    Functions after that index were scanned under the final union-find of
-    the pass, so the next pass can skip them. *)
-let rebuild_pass t (fs : func array) ~limit =
-  let changed = ref false in
-  let last_union = ref (-1) in
-  for i = 0 to limit do
-    let f = fs.(i) in
-    let u0 = t.n_unions in
-    let c =
-      match f.store with
-      | S_hash tbl -> rebuild_pass_hash t f tbl
-      | S_arena a -> rebuild_pass_arena t f a
-    in
-    if c then changed := true;
-    if t.n_unions <> u0 then last_union := i
-  done;
-  (!changed, !last_union)
+      (List.rev stale)
 
 (* canonicalize unstable-cost overrides; keep the cheapest on collision.
    Runs once per rebuild, against the final union-find. *)
@@ -598,20 +576,26 @@ let rebuild t =
     let fs =
       Array.of_list (Symbol.Tbl.fold (fun _ f acc -> f :: acc) t.funcs [])
     in
+    (* [clean_at.(i)]: the union count under which table [i] was last
+       found canonical.  Only unions (congruence collisions merging
+       outputs) make a canonical table stale again, so a table needs
+       another scan exactly when a union happened since, or during, its
+       last scan — whichever pass performed it. *)
+    let clean_at = Array.make (Array.length fs) (-1) in
     let passes = ref 0 in
-    let limit = ref (Array.length fs - 1) in
-    let continue_ = ref true in
-    while !continue_ do
-      (* a pass that rewrote rows without performing any union left every
-         row it touched canonical under the final union-find, so the
-         fixpoint is already reached: only new unions (congruence
-         collisions merging outputs) can invalidate earlier tables — and
-         only those scanned at or before the last union *)
-      let changed, last_union = rebuild_pass t fs ~limit:!limit in
+    while Array.exists (fun u -> u <> t.n_unions) clean_at do
       incr passes;
       if !passes > 100_000 then error "rebuild did not converge";
-      limit := last_union;
-      continue_ := changed && last_union >= 0
+      Array.iteri
+        (fun i f ->
+          if clean_at.(i) <> t.n_unions then begin
+            let u0 = t.n_unions in
+            (match f.store with
+            | S_hash tbl -> rebuild_pass_hash t f tbl
+            | S_arena a -> rebuild_pass_arena t f a);
+            clean_at.(i) <- u0
+          end)
+        fs
     done;
     rebuild_costs t;
     t.pending_unions <- false
@@ -868,7 +852,7 @@ let cost_override t f args =
     | None -> None)
 
 (* ------------------------------------------------------------------ *)
-(* Seminaive deltas and output queries                                 *)
+(* Seminaive deltas and row lookups                                    *)
 (* ------------------------------------------------------------------ *)
 
 (** [iter_rows_since t f ~since k] iterates only the rows of [f] inserted
@@ -919,16 +903,6 @@ let lookup_row t f args =
     let r = Arena.find a (encode_args t args) in
     if r < 0 then None
     else Some (canon t (Arena.decode t.pool (Arena.out_code a r)), Arena.stamp a r)
-
-(** [rows_with_output t f cls] lists rows of [f] whose output is in class
-    [cls] — the e-nodes of [cls] built by [f]. *)
-let rows_with_output t f cls =
-  let cls = find_class t cls in
-  List.rev
-    (fold_rows t f [] (fun acc args out ->
-         match out with
-         | Value.Eclass id when find_class t id = cls -> (args, out) :: acc
-         | _ -> acc))
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots (push/pop)                                                *)

@@ -207,6 +207,8 @@ val n_nodes : t -> int
     against {!n_nodes}). *)
 val recount_nodes : t -> int
 
+(** Number of canonical e-classes that are some row's output.  Reads only
+    the output column. *)
 val n_classes : t -> int
 
 (** Approximate footprint in words (tables + journals + cost overrides +
@@ -224,17 +226,11 @@ val iter_rows : t -> func -> (Value.t array -> Value.t -> unit) -> unit
 val iter_rows_stamped :
   t -> func -> (Value.t array -> Value.t -> int -> unit) -> unit
 
-val fold_rows : t -> func -> 'a -> ('a -> Value.t array -> Value.t -> 'a) -> 'a
-
 (** Iterate only the rows inserted or rewritten strictly after stamp
     [since], as (canonical args, canonical output, stamp).  Cost scales
     with the delta, not the table. *)
 val iter_rows_since :
   t -> func -> since:int -> (Value.t array -> Value.t -> int -> unit) -> unit
-
-(** Rows of [f] whose output is in the given class — its e-nodes built by
-    [f]. *)
-val rows_with_output : t -> func -> int -> (Value.t array * Value.t) list
 
 (** Deep copy of the whole e-graph (for push/pop).  Key arrays and the
     value pool are shared with the original (neither is ever mutated in

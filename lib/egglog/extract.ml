@@ -11,9 +11,15 @@
     Like egg/egglog, shared sub-DAGs are counted once per reference (tree
     cost), which is the standard extraction approximation.
 
-    Costs per class are computed by a fixpoint iteration from ⊤ (infinite);
-    e-classes with no finite derivation (purely cyclic) keep infinite cost,
-    and extracting them is an error.
+    {!make} reads the rebuilt e-graph once, egg-style: it walks the
+    extractable constructor tables in declaration order and their rows in
+    iteration order, decoding each row a single time, and files every
+    e-node under its canonical class together with its base cost.  Costs
+    per class are then computed by a fixpoint iteration from ⊤ (infinite)
+    over that flat node array, O(passes × nodes); e-classes with no finite
+    derivation (purely cyclic) keep infinite cost, and extracting them is
+    an error.  Extracting a class, or listing its variants, reads only the
+    class's own node list, O(class size) — never the whole table.
 
     Every extracted constructor term records the e-class it was extracted
     from ([t_class]); terms are memoized per class, so shared sub-terms are
@@ -96,13 +102,24 @@ let children t =
   match t.t_kind with Node (_, args) -> args | T_vec args -> args | Prim _ -> []
 
 (* ------------------------------------------------------------------ *)
-(* Cost computation                                                    *)
+(* Class index and cost computation                                    *)
 (* ------------------------------------------------------------------ *)
 
 let infinity_cost = max_int / 4
 
+(** An extractable e-node, as recorded by {!make}. *)
+type enode = {
+  fi : int;  (** declaration index of the head function: the first tie-break key *)
+  func : Egraph.func;
+  args : Value.t array;  (** canonical *)
+  base : int;  (** [unstable-cost] override, else [:cost], else 1 *)
+}
+
 type t = {
   eg : Egraph.t;
+  nodes : (int, enode list) Hashtbl.t;
+      (** canonical class id -> its e-nodes, in declaration order of the
+          head function, then row order *)
   class_cost : (int, int) Hashtbl.t;  (** canonical class id -> best known cost *)
   memo : (int, term) Hashtbl.t;  (** canonical class id -> extracted term *)
   chosen : (int, int) Hashtbl.t;
@@ -118,57 +135,70 @@ let class_cost st cls =
   | Some c -> c
   | None -> infinity_cost
 
+(* Costs saturate at [infinity_cost]; both operands are at most that, so
+   the sum cannot overflow. *)
+let add_cost a b = min infinity_cost (a + b)
+
 (** Sum of costs of every e-class referenced inside [v]. *)
 let rec value_cost st (v : Value.t) =
   match v with
   | Eclass id -> class_cost st id
-  | Vec elems ->
-    Array.fold_left (fun acc e -> min infinity_cost (acc + value_cost st e)) 0 elems
+  | Vec elems -> Array.fold_left (fun acc e -> add_cost acc (value_cost st e)) 0 elems
   | _ -> 0
 
-let node_base_cost st (f : Egraph.func) args =
-  match Egraph.cost_override st.eg f args with
-  | Some c -> c
-  | None -> Option.value f.cost ~default:1
+let node_cost st n =
+  Array.fold_left (fun acc v -> add_cost acc (value_cost st v)) (min infinity_cost n.base) n.args
 
-let node_cost st (f : Egraph.func) args =
-  let base = node_base_cost st f args in
-  let children = Array.fold_left (fun acc v -> acc + value_cost st v) 0 args in
-  min infinity_cost (base + children)
+let nodes_of st cls = Option.value ~default:[] (Hashtbl.find_opt st.nodes cls)
 
-(** Build an extractor: computes the best cost of every e-class by fixpoint
-    iteration over all constructor tables.  The e-graph must be rebuilt. *)
+(** Build an extractor: one pass over the constructor tables files every
+    e-node under its canonical class, then the best cost of every class is
+    computed by fixpoint iteration over those nodes.  The e-graph must be
+    rebuilt, and must not change while the extractor is in use. *)
 let make eg : t =
+  let flat = ref [] in
+  List.iteri
+    (fun fi (f : Egraph.func) ->
+      if Egraph.is_constructor f && not f.unextractable then
+        Egraph.iter_rows eg f (fun args out ->
+            match out with
+            | Eclass cls ->
+              let base =
+                match Egraph.cost_override eg f args with
+                | Some c -> c
+                | None -> Option.value f.cost ~default:1
+              in
+              flat := (Egraph.find_class eg cls, { fi; func = f; args; base }) :: !flat
+            | _ -> ()))
+    (Egraph.functions eg);
+  let nodes = Hashtbl.create 64 in
+  (* [flat] is in reverse order, so consing builds each list in order *)
+  List.iter
+    (fun (cls, n) ->
+      Hashtbl.replace nodes cls (n :: Option.value ~default:[] (Hashtbl.find_opt nodes cls)))
+    !flat;
+  let flat = Array.of_list (List.rev !flat) in
   let st =
     {
       eg;
-      class_cost = Hashtbl.create 64;
+      nodes;
+      class_cost = Hashtbl.create (Hashtbl.length nodes);
       memo = Hashtbl.create 64;
       chosen = Hashtbl.create 64;
       extracting = Hashtbl.create 16;
     }
   in
-  let funcs =
-    List.filter
-      (fun (f : Egraph.func) -> Egraph.is_constructor f && not f.unextractable)
-      (Egraph.functions eg)
-  in
   let changed = ref true in
   while !changed do
     changed := false;
-    List.iter
-      (fun (f : Egraph.func) ->
-        Egraph.iter_rows eg f (fun args out ->
-            match out with
-            | Eclass cls ->
-              let cls = Egraph.find_class eg cls in
-              let c = node_cost st f args in
-              if c < class_cost st cls then begin
-                Hashtbl.replace st.class_cost cls c;
-                changed := true
-              end
-            | _ -> ()))
-      funcs
+    Array.iter
+      (fun (cls, n) ->
+        let c = node_cost st n in
+        if c < class_cost st cls then begin
+          Hashtbl.replace st.class_cost cls c;
+          changed := true
+        end)
+      flat
   done;
   st
 
@@ -193,24 +223,19 @@ let rec extract_class st cls : term =
        row iteration order, which differs between storage engines. *)
     let best_cost = ref infinity_cost in
     let cands = ref [] in
-    List.iteri
-      (fun fi (f : Egraph.func) ->
-        if Egraph.is_constructor f && not f.unextractable then
-          List.iter
-            (fun (args, _) ->
-              let c = node_cost st f args in
-              if c < !best_cost then begin
-                best_cost := c;
-                cands := [ (fi, f, args) ]
-              end
-              else if c = !best_cost then cands := (fi, f, args) :: !cands)
-            (Egraph.rows_with_output st.eg f cls))
-      (Egraph.functions st.eg);
-    let f, args, sub =
+    List.iter
+      (fun n ->
+        let c = node_cost st n in
+        if c < !best_cost then begin
+          best_cost := c;
+          cands := [ n ]
+        end
+        else if c = !best_cost then cands := n :: !cands)
+      (nodes_of st cls);
+    let n, sub =
       match !cands with
       | [] -> error "e-class %d has no e-nodes to extract" cls
-      | [ (_, f, args) ] ->
-        (f, args, Array.to_list args |> List.map (extract_value st))
+      | [ n ] -> (n, Array.to_list n.args |> List.map (extract_value st))
       | cands ->
         (* Deterministic tie-break: declaration order of the head function,
            then the extracted argument terms compared structurally.  Both
@@ -219,9 +244,9 @@ let rec extract_class st cls : term =
            cycles back into this class are discarded. *)
         let keyed =
           List.filter_map
-            (fun (fi, (f : Egraph.func), args) ->
-              match Array.to_list args |> List.map (extract_value st) with
-              | sub -> Some ((fi, sub), (f, args, sub))
+            (fun n ->
+              match Array.to_list n.args |> List.map (extract_value st) with
+              | sub -> Some ((n.fi, sub), (n, sub))
               | exception Error _ -> None)
             cands
         in
@@ -240,8 +265,8 @@ let rec extract_class st cls : term =
         | None -> error "e-class %d has no acyclic minimal e-node" cls)
     in
     Hashtbl.remove st.extracting cls;
-    Hashtbl.replace st.chosen cls (node_base_cost st f args);
-    let term = node ~cls f.Egraph.sym sub in
+    Hashtbl.replace st.chosen cls n.base;
+    let term = node ~cls n.func.Egraph.sym sub in
     Hashtbl.replace st.memo cls term;
     term
 
@@ -262,11 +287,6 @@ let extract eg (v : Value.t) : term * int =
   let v = Egraph.canon eg v in
   (extract_value st v, value_cost st v)
 
-(** Cost of the best term in [v]'s class without building the term. *)
-let best_cost eg (v : Value.t) : int =
-  let st = make eg in
-  value_cost st (Egraph.canon eg v)
-
 (** [variants st cls n] extracts up to [n] distinct terms of class [cls],
     cheapest first: one per e-node of the class, ordered by cost (children
     always extract optimally; only the root node varies — egglog's
@@ -274,39 +294,29 @@ let best_cost eg (v : Value.t) : int =
 let variants (st : t) cls n : (term * int) list =
   let cls = Egraph.find_class st.eg cls in
   let candidates =
-    List.concat
-      (List.mapi
-         (fun fi (f : Egraph.func) ->
-           if Egraph.is_constructor f && not f.unextractable then
-             List.filter_map
-               (fun (args, _) ->
-                 let c = node_cost st f args in
-                 if c >= infinity_cost then None
-                 else
-                   match Array.to_list args |> List.map (extract_value st) with
-                   | sub -> Some (c, fi, f, args, sub)
-                   | exception Error _ -> None)
-               (Egraph.rows_with_output st.eg f cls)
-           else [])
-         (Egraph.functions st.eg))
+    List.filter_map
+      (fun nd ->
+        let c = node_cost st nd in
+        if c >= infinity_cost then None
+        else
+          match Array.to_list nd.args |> List.map (extract_value st) with
+          | sub -> Some (c, nd, sub)
+          | exception Error _ -> None)
+      (nodes_of st cls)
   in
   (* cheapest first; ties broken like {!extract_class}, so the listing is
      identical whichever storage engine produced the rows *)
   let sorted =
     List.sort
-      (fun (c1, fi1, _, _, s1) (c2, fi2, _, _, s2) ->
+      (fun (c1, n1, s1) (c2, n2, s2) ->
         let c = Int.compare c1 c2 in
-        if c <> 0 then c
-        else
-          let c = Int.compare fi1 fi2 in
-          if c <> 0 then c else term_list_compare s1 s2)
+        if c <> 0 then c else compare_keys (n1.fi, s1) (n2.fi, s2))
       candidates
   in
   let rec take k = function
     | [] -> []
     | _ when k = 0 -> []
-    | (c, _, f, _, sub) :: rest ->
-      (node ~cls f.Egraph.sym sub, c) :: take (k - 1) rest
+    | (c, nd, sub) :: rest -> (node ~cls nd.func.Egraph.sym sub, c) :: take (k - 1) rest
   in
   take n sorted
 

@@ -7,11 +7,16 @@
     standard equality-saturation approximation; {!dag_cost} reports the
     SSA-form cost with sharing.
 
-    Per-class costs are computed by fixpoint from ⊤; classes with no finite
-    derivation keep infinite cost and extracting them errors.  Extracted
-    constructor terms record their e-class ([t_class]) and are memoized per
-    class, so shared sub-terms are physically shared — DialEgg's
-    de-eggifier relies on both properties. *)
+    {!make} reads the rebuilt e-graph once: every row of every extractable
+    constructor table is decoded a single time and filed under its
+    canonical class, with its base cost.  Per-class costs are then computed
+    by fixpoint from ⊤ over that flat node array (O(passes × nodes)), and
+    extracting or listing the variants of a class reads only that class's
+    nodes (O(class size)).  Classes with no finite derivation keep infinite
+    cost and extracting them errors.  Extracted constructor terms record
+    their e-class ([t_class]) and are memoized per class, so shared
+    sub-terms are physically shared — DialEgg's de-eggifier relies on both
+    properties. *)
 
 exception Error of string
 
@@ -36,10 +41,13 @@ val head : term -> string option
 (** Child terms (arguments of a node, elements of a vector). *)
 val children : term -> term list
 
-(** An extractor: per-class best costs plus the extraction memo table. *)
+(** An extractor: the per-class e-node index, per-class best costs and the
+    extraction memo table. *)
 type t
 
-(** Build an extractor for a rebuilt e-graph (runs the cost fixpoint). *)
+(** Build an extractor for a rebuilt e-graph: index its e-nodes by class
+    and run the cost fixpoint.  The e-graph must not change while the
+    extractor is in use. *)
 val make : Egraph.t -> t
 
 (** Lowest-cost term of the e-class (memoized; shared sub-terms are
@@ -53,9 +61,6 @@ val extract_value : t -> Value.t -> term
 (** One-shot: build an extractor and extract [v]; returns the term and its
     tree cost. *)
 val extract : Egraph.t -> Value.t -> term * int
-
-(** Cost of the best term without building it. *)
-val best_cost : Egraph.t -> Value.t -> int
 
 (** Best known cost of a class under this extractor. *)
 val cost_of_class : t -> int -> int

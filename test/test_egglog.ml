@@ -692,6 +692,170 @@ let test_extract_variants () =
   | Some vs -> Alcotest.fail (Printf.sprintf "expected 2 variants, got %d" (List.length vs))
   | None -> Alcotest.fail "no variants output"
 
+(* The indexed extractor against the plain scan-every-table reference
+   (test/support/ref_extract.ml) on random e-graphs.  The schema mixes
+   equal-cost heads (costs are drawn from 0-2, so ties under one head and
+   across heads are common), a non-constructor table and an unextractable
+   constructor between the extractable ones (so declaration indices have
+   gaps), vector arguments, a 5-ary head, [unstable-cost] overrides, and
+   fresh classes that stay empty or are unioned into cycles with or
+   without a base case. *)
+let random_egraph (legacy, costs, ops) =
+  let eg = Egraph.create ~engine:(if legacy then Egraph.Legacy else Egraph.Arena) () in
+  Egraph.declare_sort eg "E";
+  Egraph.declare_vec_sort eg "VE" "E";
+  let costs = Array.of_list costs in
+  let decl ?(unextractable = false) name args ret cost =
+    Egraph.declare_function eg ~name ~args ~ret ~cost ~merge:None ~unextractable
+  in
+  let leaf = decl "Leaf" [ "i64" ] "E" costs.(0) in
+  let nil = decl "Nil" [] "E" costs.(1) in
+  let tbl = decl "tbl" [ "E" ] "i64" None in
+  let u = decl "U" [ "E" ] "E" costs.(2) in
+  let b = decl "B" [ "E"; "E" ] "E" costs.(3) in
+  let v = decl "V" [ "VE" ] "E" costs.(4) in
+  let hide = decl ~unextractable:true "Hide" [ "E" ] "E" None in
+  let w = decl "W" (List.init 5 (fun _ -> "E")) "E" costs.(5) in
+  let b2 = decl "B2" [ "E"; "E" ] "E" costs.(6) in
+  let classes = ref [| Option.get (Egraph.apply eg leaf [| I64 0L |]) |] in
+  let pick k = !classes.(k mod Array.length !classes) in
+  let add cls = classes := Array.append !classes [| cls |] in
+  let mk f args = add (Option.get (Egraph.apply eg f args)) in
+  List.iter
+    (fun (kind, x, y, z) ->
+      match kind with
+      | 0 -> mk leaf [| I64 (Int64.of_int (x mod 3)) |]
+      | 1 -> mk nil [||]
+      | 2 -> mk u [| pick x |]
+      | 3 -> mk b [| pick x; pick y |]
+      | 4 -> mk b2 [| pick x; pick y |]
+      | 5 -> mk v [| Vec (Array.init (z mod 3) (fun i -> pick (x + (i * y)))) |]
+      | 6 -> mk w (Array.init 5 (fun i -> pick (x + (i * y))))
+      | 7 -> mk hide [| pick x |]
+      | 8 -> add (Eclass (Egraph.fresh_class eg))
+      | 9 -> Egraph.union_values eg (pick x) (pick y)
+      | 10 ->
+        Egraph.rebuild eg;
+        let f = [| leaf; u; b; v; w; b2 |].(x mod 6) in
+        let rows = ref [] in
+        Egraph.iter_rows eg f (fun args _ -> rows := args :: !rows);
+        if !rows <> [] then
+          Egraph.set_cost eg f (List.nth !rows (y mod List.length !rows)) (z mod 4)
+      | _ -> Egraph.set eg tbl [| pick x |] (I64 0L))
+    ops;
+  Egraph.rebuild eg;
+  let ids =
+    Array.to_list !classes
+    |> List.filter_map (fun c ->
+           match Egraph.canon eg c with Value.Eclass id -> Some id | _ -> None)
+  in
+  (eg, List.sort_uniq Int.compare ids)
+
+(* A term's printed form, e-classes and physical sharing: nodes are
+   numbered in first-visit order, and a revisit prints only the number. *)
+let term_shape (t : Extract.term) =
+  let seen = ref [] in
+  let buf = Buffer.create 64 in
+  let rec go (t : Extract.term) =
+    match List.assq_opt t !seen with
+    | Some i -> Printf.bprintf buf "#%d " i
+    | None ->
+      let i = List.length !seen in
+      seen := (t, i) :: !seen;
+      Printf.bprintf buf "(%d@%s %s " i
+        (match t.t_class with Some c -> string_of_int c | None -> "-")
+        (match t.t_kind with
+        | Node (s, _) -> Symbol.name s
+        | Prim p -> Fmt.str "%a" Value.pp p
+        | T_vec _ -> "vec");
+      List.iter go (Extract.children t);
+      Buffer.add_string buf ") "
+  in
+  go t;
+  Buffer.contents buf
+
+(* engine, the constructors' [:cost]s, and the operations *)
+let egraph_recipe =
+  let open QCheck.Gen in
+  triple bool
+    (list_repeat 7 (opt (int_bound 2)))
+    (list_size (int_range 4 30) (quad (int_bound 11) (int_bound 99) (int_bound 99) (int_bound 99)))
+
+(* every row is stored under canonical arguments and found by lookup *)
+let rows_canonical eg =
+  List.for_all
+    (fun f ->
+      let ok = ref true in
+      Egraph.iter_rows eg f (fun args out ->
+          if
+            not
+              (Array.for_all (fun v -> Value.equal (Egraph.canon eg v) v) args
+              && Egraph.lookup eg f args = Some out)
+          then ok := false);
+      !ok)
+    (Egraph.functions eg)
+
+let test_rebuild_fixpoint () =
+  (* a union found by a later, shorter rebuild pass (W's rows collide
+     only once Hide's collision is merged) must also re-canonicalize B,
+     a table that pass did not reach *)
+  let ops =
+    [ (7, 83, 41, 76); (0, 36, 14, 21); (0, 39, 6, 10); (2, 88, 7, 13); (9, 44, 55, 14);
+      (7, 32, 61, 29); (5, 44, 79, 6); (6, 68, 27, 83); (6, 73, 17, 28); (3, 62, 24, 55) ]
+  in
+  List.iter
+    (fun legacy ->
+      let eg, _ = random_egraph (legacy, List.init 7 (fun _ -> None), ops) in
+      checkb "rows canonical after rebuild" true (rows_canonical eg))
+    [ false; true ];
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~name:"rebuild leaves every row canonical" ~count:1000
+       (QCheck.make egraph_recipe) (fun recipe -> rows_canonical (fst (random_egraph recipe))))
+
+module Ref_extract = Test_support.Ref_extract
+
+let test_extract_matches_reference () =
+  let prop recipe =
+    let eg, classes = random_egraph recipe in
+    let ix = Extract.make eg and rf = Ref_extract.make eg in
+    let attempt f = match f () with t -> Ok t | exception Extract.Error m -> Error m in
+    let same_variants vs1 vs2 =
+      List.map (fun (t, c) -> (term_shape t, c)) vs1
+      = List.map (fun (t, c) -> (term_shape t, c)) vs2
+    in
+    List.for_all
+      (fun cls ->
+        let cost_ok =
+          Extract.cost_of_class ix cls = Ref_extract.cost_of_class rf cls
+        in
+        let extract_ok =
+          match
+            ( attempt (fun () -> Extract.extract_class ix cls),
+              attempt (fun () -> Ref_extract.extract_class rf cls) )
+          with
+          | Ok t1, Ok t2 ->
+            Extract.term_to_string t1 = Extract.term_to_string t2
+            && term_shape t1 = term_shape t2
+            && Extract.dag_cost ix t1 = Ref_extract.dag_cost rf t2
+          | Error m1, Error m2 -> m1 = m2
+          | _ -> false
+        in
+        let variants_ok =
+          match
+            ( attempt (fun () -> Extract.variants ix cls 3),
+              attempt (fun () -> Ref_extract.variants rf cls 3) )
+          with
+          | Ok v1, Ok v2 -> same_variants v1 v2
+          | Error m1, Error m2 -> m1 = m2
+          | _ -> false
+        in
+        cost_ok && extract_ok && variants_ok)
+      classes
+  in
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~name:"indexed extraction = reference extraction" ~count:500
+       (QCheck.make egraph_recipe) prop)
+
 let test_lattice_analysis () =
   (* interval-style analysis with lattice merges (paper §9 direction) *)
   let _, outs =
@@ -967,6 +1131,8 @@ let () =
           Alcotest.test_case "merge function" `Quick test_egraph_merge_fn;
           Alcotest.test_case "sort checking" `Quick test_egraph_sort_check;
           Alcotest.test_case "congruence property" `Quick test_congruence_prop;
+          Alcotest.test_case "rebuild reaches a fixpoint on every table" `Quick
+            test_rebuild_fixpoint;
         ] );
       ( "programs",
         [
@@ -982,6 +1148,8 @@ let () =
           Alcotest.test_case "extraction shares subterms" `Quick test_extract_shared_physical;
           Alcotest.test_case "extraction avoids cycles" `Quick test_extract_cycle;
           Alcotest.test_case "extraction cost arithmetic" `Quick test_extract_cost_value;
+          Alcotest.test_case "extraction matches reference (property)" `Quick
+            test_extract_matches_reference;
           Alcotest.test_case "rules create nodes" `Quick test_rule_creates_nodes;
           Alcotest.test_case "no variable capture by globals" `Quick test_global_shadowing_safe;
           Alcotest.test_case "wildcard patterns" `Quick test_wildcard_pattern;
