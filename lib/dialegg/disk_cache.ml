@@ -28,10 +28,10 @@ let is_cache_entry name =
 
 (* Oldest-mtime-first eviction.  mtime is our recency signal: readers
    that hit an entry re-touch it (see the owning modules), so a pruned
-   entry really is the least recently useful one. *)
-let prune ?max ~dir () =
+   entry really is the least recently useful one.  Returns the bytes the
+   scan counted minus those it freed; [None] if the scan failed. *)
+let prune_total ~cap ~dir =
   try
-    let cap = match max with Some m -> m | None -> max_bytes () in
     let entries =
       Array.to_list (Sys.readdir dir)
       |> List.filter_map (fun name ->
@@ -45,7 +45,8 @@ let prune ?max ~dir () =
                | exception Unix.Unix_error _ -> None)
     in
     let total = List.fold_left (fun a (_, s, _) -> a + s) 0 entries in
-    if total > cap then begin
+    let excess = ref (total - cap) in
+    if !excess > 0 then begin
       (* oldest first; break mtime ties by path so eviction is stable *)
       let oldest =
         List.sort
@@ -53,7 +54,6 @@ let prune ?max ~dir () =
             match compare (t1 : float) t2 with 0 -> compare p1 p2 | c -> c)
           entries
       in
-      let excess = ref (total - cap) in
       List.iter
         (fun (path, size, _) ->
           if !excess > 0 then
@@ -69,8 +69,32 @@ let prune ?max ~dir () =
               excess := !excess - size
             | exception Unix.Unix_error _ -> ())
         oldest
-    end
-  with Sys_error _ | Unix.Unix_error _ -> ()
+    end;
+    Some (cap + min 0 !excess)
+  with Sys_error _ | Unix.Unix_error _ -> None
+
+let prune ?max ~dir () =
+  let cap = match max with Some m -> m | None -> max_bytes () in
+  ignore (prune_total ~cap ~dir : int option)
+
+(* Per directory: the bytes its last scan left plus the bytes this
+   process has committed there since.  Entries only leave a directory
+   through eviction, an overwrite or a reader dropping a corrupt one, so
+   with a single writer this never under-counts, and scanning only once
+   it passes the cap evicts exactly what a scan after every commit
+   would. *)
+let estimates : (string, int) Hashtbl.t = Hashtbl.create 4
+
+let note_commit ?max ~dir bytes =
+  let cap = match max with Some m -> m | None -> max_bytes () in
+  let est =
+    match Hashtbl.find_opt estimates dir with
+    | Some b when b + bytes <= cap -> Some (b + bytes)
+    | _ -> prune_total ~cap ~dir
+  in
+  match est with
+  | Some b -> Hashtbl.replace estimates dir b
+  | None -> Hashtbl.remove estimates dir
 
 (* Touch an entry a reader just used, so pruning sees it as fresh.
    Best-effort (read-only media). *)
@@ -85,7 +109,7 @@ let fsync_dir dir =
       (fun () -> Unix.fsync d)
   with Unix.Unix_error _ -> ()
 
-let write_entry ~dir ~file emit =
+let write_entry ?max ~dir ~file emit =
   try
     (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
     (* same directory as the destination so the rename cannot cross a
@@ -93,17 +117,21 @@ let write_entry ~dir ~file emit =
     let tmp = Filename.temp_file ~temp_dir:dir ".entry" ".tmp" in
     match
       let oc = open_out_bin tmp in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () ->
-          emit oc;
-          flush oc;
-          Unix.fsync (Unix.descr_of_out_channel oc));
-      Sys.rename tmp (Filename.concat dir file)
+      let bytes =
+        Fun.protect
+          ~finally:(fun () -> close_out_noerr oc)
+          (fun () ->
+            emit oc;
+            flush oc;
+            Unix.fsync (Unix.descr_of_out_channel oc);
+            pos_out oc)
+      in
+      Sys.rename tmp (Filename.concat dir file);
+      bytes
     with
-    | () ->
+    | bytes ->
       fsync_dir dir;
-      prune ~dir ()
+      note_commit ?max ~dir bytes
     | exception e ->
       (try Sys.remove tmp with Sys_error _ -> ());
       raise e

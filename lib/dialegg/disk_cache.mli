@@ -15,11 +15,23 @@
       data, atomic rename, then fsync of the parent directory, so a
       committed entry survives a power cut and a torn write is never
       observable under the final name;
-    - a size cap with least-recently-used eviction: after every commit
-      the directory is pruned back under [$DIALEGG_CACHE_MAX_MB]
-      (default 256 MB), deleting oldest-mtime cache entries first.
-      Only files with a known cache extension are ever counted or
-      deleted — foreign files in the directory are left alone.
+    - a size cap with least-recently-used eviction: the directory is
+      pruned back under [$DIALEGG_CACHE_MAX_MB] (default 256 MB),
+      deleting oldest-mtime cache entries first.  Only files with a
+      known cache extension are ever counted or deleted — foreign files
+      in the directory are left alone.
+
+    A process does not scan the directory after every commit.  It keeps
+    an estimate per directory: the bytes its last scan left there plus
+    the bytes it has committed since, and scans (and evicts) only when a
+    commit takes that estimate over the cap.  A process's first commit
+    to a directory always scans.  With one writer the estimate never
+    falls below the real total, so eviction removes exactly the entries
+    a scan after every commit would.  Each of N concurrent writers
+    counts only its own commits, so the directory can exceed the cap by
+    what the other writers committed since their last scans: at most
+    about (N - 1) × the cap, plus one entry per writer.  Each writer's
+    next scan brings it back under.
 
     Reads stay in the owning modules (each validates its own magic /
     format version); corruption tolerance is their job, durability and
@@ -42,10 +54,11 @@ val max_bytes : unit -> int
     [file] (a basename) inside [dir], creating the directory if needed:
     [emit oc] writes the payload, then the temp file is fsync'd, renamed
     over [dir/file], the directory fsync'd, and the cache pruned back
-    under the size cap.  Best-effort: any failure (read-only media, a
-    full disk) is swallowed — a cache that cannot persist degrades to a
-    recompute, never to an error. *)
-val write_entry : dir:string -> file:string -> (out_channel -> unit) -> unit
+    under the size cap ([max] bytes, default {!max_bytes}) when the
+    directory's estimate exceeds it.  Best-effort: any failure
+    (read-only media, a full disk) is swallowed — a cache that cannot
+    persist degrades to a recompute, never to an error. *)
+val write_entry : ?max:int -> dir:string -> file:string -> (out_channel -> unit) -> unit
 
 (** Re-stamp an entry a reader just used, so LRU pruning sees it as
     fresh.  Best-effort. *)

@@ -2,11 +2,15 @@
 
     {v MLIR --eggify--> Egglog --saturate--> extract --deeggify--> MLIR v}
 
-    Per function: a fresh Egglog engine runs the prelude, the user's
-    declarations/rules, and the auto-generated [type-of] rules; the
-    function body is translated; the rules run to saturation (bounded by
-    iterations / nodes / wall clock); the lowest-cost program is extracted
-    and translated back, replacing the function body.
+    Per function: an Egglog engine loaded with the prelude, the user's
+    declarations/rules and the auto-generated [type-of] rules, with every
+    rule's join plan compiled, receives the translated function body; the
+    rules run to saturation (bounded by iterations / nodes / wall clock);
+    the lowest-cost program is extracted and translated back, replacing
+    the function body.  A ruleset's first use in the process loads an
+    engine for that function alone; its second use loads a template that
+    is kept, and every later function of that ruleset runs on a clone of
+    it (see {!engine_for}).
 
     Timings are recorded per phase so the benchmark harness can reproduce
     the paper's Table 2 breakdown. *)
@@ -122,14 +126,28 @@ let default_config =
     inject = None;
   }
 
+(* Lint verdicts by (registry fingerprint, ruleset) digest. *)
+let lint_memo : (Digest.t, Egglog.Diag.t list) Hashtbl.t = Hashtbl.create 4
+
 (* Fail fast on lint errors instead of silently saturating with rules
-   that can never fire; warnings are surfaced but not fatal. *)
+   that can never fire; warnings are surfaced but not fatal.  Memoized
+   like the vet and audit tiers: warnings print when the verdict is
+   computed, errors raise on every call. *)
 let lint_rules_exn config =
   if config.lint && config.rules <> "" then begin
-    let diags = Lint.lint_rules ~file:"<rules>" config.rules in
-    List.iter
-      (fun d -> if not (Egglog.Diag.is_error d) then Fmt.epr "%a@." Egglog.Diag.pp d)
-      diags;
+    Mlir.Registry.ensure_registered ();
+    let key = Digest.string (Mlir.Dialect.fingerprint () ^ "\n" ^ config.rules) in
+    let diags =
+      match Hashtbl.find_opt lint_memo key with
+      | Some diags -> diags
+      | None ->
+        let diags = Lint.lint_rules ~file:"<rules>" config.rules in
+        Hashtbl.replace lint_memo key diags;
+        List.iter
+          (fun d -> if not (Egglog.Diag.is_error d) then Fmt.epr "%a@." Egglog.Diag.pp d)
+          diags;
+        diags
+    in
     if Egglog.Diag.has_errors diags then
       raise
         (Error
@@ -218,7 +236,9 @@ let diags_exn what diags =
 
 (** Per-function timing breakdown (Table 2 columns). *)
 type timings = {
-  t_mlir_to_egg : float;  (** prelude + rules load + eggify *)
+  t_mlir_to_egg : float;
+      (** engine load (prelude, rules, [type-of] rules, join plans) or
+          template clone, plus eggify *)
   t_egglog : float;  (** total time inside the engine: saturation + extraction *)
   t_saturate : float;  (** the saturation part of [t_egglog] *)
   t_search : float;  (** e-matching part of [t_saturate] *)
@@ -335,6 +355,84 @@ let pp_rule_stats ppf (stats : Egglog.Interp.rule_stat list) =
 let now () = Unix.gettimeofday ()
 
 (* ------------------------------------------------------------------ *)
+(* Engine templates                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(** Where a function's engine came from. *)
+type engine_source =
+  | Fresh  (** loaded for this function alone *)
+  | Template_built  (** a clone of the template this function loaded *)
+  | Template_reused  (** a clone of a template an earlier function loaded *)
+
+let engine_source_name = function
+  | Fresh -> "fresh"
+  | Template_built -> "template built"
+  | Template_reused -> "template reused"
+
+(* The config settings an engine runs under; applied to every engine a
+   function runs on, whether loaded or cloned. *)
+let configure engine (config : config) =
+  Egglog.Interp.set_limits engine
+    (Egglog.Limits.make ~max_nodes:config.max_nodes
+       ?max_time_ms:(Option.map (fun s -> s *. 1000.) config.timeout)
+       ?max_memory_mb:config.max_memory_mb ());
+  Egglog.Interp.set_jobs engine config.jobs;
+  Egglog.Interp.set_naive_matching engine (not config.seminaive);
+  Egglog.Interp.set_backoff engine config.backoff;
+  Egglog.Interp.set_match_limit engine config.match_limit;
+  Egglog.Interp.set_ban_length engine config.ban_length
+
+(* The one engine loader: prelude, rules, op signatures, [type-of] rules,
+   then every rule's join plan. *)
+let load_engine (config : config) =
+  let engine = Egglog.Interp.create ~engine:config.engine () in
+  configure engine config;
+  Egglog.Interp.run_commands engine (Lazy.force Prelude.commands);
+  (try Egglog.Interp.run_string engine config.rules
+   with Egglog.Parser.Error msg -> raise (Error ("rules: " ^ msg)));
+  let sigs = Sigs.scan (Egglog.Interp.egraph engine) in
+  Egglog.Interp.run_commands engine (Sigs.type_of_rules sigs);
+  Egglog.Interp.compile_rules engine;
+  (engine, sigs)
+
+type template_key = Digest.t * Egglog.Egraph.engine
+
+(* A ruleset's template is loaded on its second use, so a process that
+   meets each ruleset once (a generated corpus) keeps none.  Both lists
+   are bounded; templates are evicted least recently used first. *)
+let max_templates = 8
+let max_seen = 64
+let templates : (template_key * (Egglog.Interp.t * Sigs.t)) list ref = ref []
+let seen_once : template_key list ref = ref []
+
+let rec take n = function x :: l when n > 0 -> x :: take (n - 1) l | _ -> []
+
+(** The engine a function of [config]'s ruleset runs on, its op
+    signatures, and where it came from. *)
+let engine_for (config : config) =
+  let key = (Digest.string config.rules, config.engine) in
+  match List.assoc_opt key !templates with
+  | Some ((tmpl, sigs) as tp) ->
+    templates := (key, tp) :: List.remove_assoc key !templates;
+    let engine = Option.get (Egglog.Interp.clone tmpl) in
+    configure engine config;
+    (engine, sigs, Template_reused)
+  | None when not (List.mem key !seen_once) ->
+    seen_once := take max_seen (key :: !seen_once);
+    let engine, sigs = load_engine config in
+    (engine, sigs, Fresh)
+  | None -> (
+    seen_once := List.filter (fun k -> k <> key) !seen_once;
+    let ((tmpl, sigs) as tp) = load_engine config in
+    match Egglog.Interp.clone tmpl with
+    | None ->
+      (* the rules ran saturation or left a snapshot: no template *)
+      (tmpl, sigs, Fresh)
+    | Some engine ->
+      templates := take max_templates ((key, tp) :: !templates);
+      (engine, sigs, Template_built))
+
+(* ------------------------------------------------------------------ *)
 (* Per-function outcomes and fault isolation                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -348,6 +446,7 @@ type func_report = {
   fr_name : string;
   fr_outcome : outcome;
   fr_stop : Egglog.Interp.stop_reason;  (** why saturation stopped *)
+  fr_engine : engine_source;
   fr_timings : timings;
 }
 
@@ -378,6 +477,10 @@ let pp_report ppf (r : report) =
   | Some (a, status) ->
     Fmt.pf ppf "%a [%s]@." Audit.pp_summary a (Audit.cache_status_name status)
   | None -> ());
+  (match List.sort_uniq compare (List.map (fun fr -> fr.fr_engine) r.r_funcs) with
+  | [] -> ()
+  | sources ->
+    Fmt.pf ppf "engine: %s@." (String.concat ", " (List.map engine_source_name sources)));
   List.iter
     (fun fr ->
       Fmt.pf ppf "@%s: %a | stop: %a | %d iters, peak %d nodes@." fr.fr_name
@@ -476,8 +579,15 @@ let optimize_func_report ?(config = default_config) ?(hooks = Translate.make_hoo
   let fname = Mlir.Ir.func_name func in
   let strict = config.on_limit = Fail in
   let original = if strict then None else Some (snapshot_function func) in
+  let source = ref Fresh in
   let finish ?(outcome = Optimized) ~stop timings =
-    { fr_name = fname; fr_outcome = outcome; fr_stop = stop; fr_timings = timings }
+    {
+      fr_name = fname;
+      fr_outcome = outcome;
+      fr_stop = stop;
+      fr_engine = !source;
+      fr_timings = timings;
+    }
   in
   (* what we know if a later stage faults: saturation stats survive *)
   let partial_timings = ref zero_timings in
@@ -497,23 +607,8 @@ let optimize_func_report ?(config = default_config) ?(hooks = Translate.make_hoo
     let t0 = now () in
     let engine, eggify, sigs, root =
       stage ~strict Faults.Eggify config.inject (fun () ->
-          let limits =
-            Egglog.Limits.make ~max_nodes:config.max_nodes
-              ?max_time_ms:(Option.map (fun s -> s *. 1000.) config.timeout)
-              ?max_memory_mb:config.max_memory_mb ()
-          in
-          let engine =
-            Egglog.Interp.create ~limits ~engine:config.engine ~jobs:config.jobs ()
-          in
-          Egglog.Interp.set_naive_matching engine (not config.seminaive);
-          Egglog.Interp.set_backoff engine config.backoff;
-          Egglog.Interp.set_match_limit engine config.match_limit;
-          Egglog.Interp.set_ban_length engine config.ban_length;
-          Egglog.Interp.run_commands engine (Lazy.force Prelude.commands);
-          (try Egglog.Interp.run_string engine config.rules
-           with Egglog.Parser.Error msg -> raise (Error ("rules: " ^ msg)));
-          let sigs = Sigs.scan (Egglog.Interp.egraph engine) in
-          Egglog.Interp.run_commands engine (Sigs.type_of_rules sigs);
+          let engine, sigs, src = engine_for config in
+          source := src;
           let eggify = Eggify.create ~engine ~sigs ~hooks in
           let root = Eggify.translate_function eggify func in
           (engine, eggify, sigs, root))

@@ -1,6 +1,8 @@
 (** The end-to-end DialEgg pipeline (paper Fig. 2):
     MLIR → eggify → saturate → extract → de-eggify → MLIR, per function,
-    with per-phase timings (the paper's Table 2 columns). *)
+    with per-phase timings (the paper's Table 2 columns).  Engines are
+    loaded once per ruleset and cloned per function (see
+    {!engine_source}). *)
 
 exception Error of string
 
@@ -108,7 +110,9 @@ val audit_rules_exn : config -> (Audit.report * Audit.cache_status) option
 val prewarmed : config -> config
 
 type timings = {
-  t_mlir_to_egg : float;  (** prelude + rules load + eggify *)
+  t_mlir_to_egg : float;
+      (** engine load (prelude, rules, [type-of] rules, join plans) or
+          template clone, plus eggify *)
   t_egglog : float;  (** total engine time: saturation + extraction *)
   t_saturate : float;  (** the saturation part of [t_egglog] *)
   t_search : float;  (** e-matching part of [t_saturate] *)
@@ -143,10 +147,24 @@ type outcome =
   | Degraded of Faults.stage * Egglog.Diag.t
       (** a stage failed; the original body was kept (identity fallback) *)
 
+(** Where a function's engine came from.  Each function runs on its own
+    engine loaded with the prelude, the rules and the [type-of] rules.
+    A ruleset's first use in the process loads one for that function
+    alone; its second use loads a template, kept per (ruleset, e-graph
+    engine kind), that this and every later function of the ruleset run
+    on a clone of.  Output is byte-identical either way. *)
+type engine_source =
+  | Fresh  (** loaded for this function alone *)
+  | Template_built  (** a clone of the template this function loaded *)
+  | Template_reused  (** a clone of a template an earlier function loaded *)
+
+val engine_source_name : engine_source -> string
+
 type func_report = {
   fr_name : string;
   fr_outcome : outcome;
   fr_stop : Egglog.Interp.stop_reason;  (** why saturation stopped *)
+  fr_engine : engine_source;
   fr_timings : timings;
 }
 
@@ -164,7 +182,9 @@ type report = {
 
 val pp_outcome : Format.formatter -> outcome -> unit
 
-(** One line per function: outcome, stop reason, iterations, peak size. *)
+(** The vet and audit cache status, the sources of the module's engines,
+    then one line per function: outcome, stop reason, iterations, peak
+    size. *)
 val pp_report : Format.formatter -> report -> unit
 
 (** No degradations and no hard stops (saturated or iteration-bounded

@@ -126,13 +126,11 @@ let find_mlir t ~name ~n_operands ~n_results =
 (** All registered op signatures. *)
 let all t = Hashtbl.fold (fun _ s acc -> s :: acc) t.by_egg []
 
-(** Auto-generated [type-of] propagation rules: for every op constructor
-    with a result type, [(rule ((= ?e (op ?a1 ... ?t))) ((set (type-of ?e) ?t)))],
-    plus the rule for [Value] (paper §6.2 relies on these). *)
-let type_of_rules (t : t) : Egglog.Ast.command list =
+let n_args s = s.n_operands + s.n_attrs + s.n_regions
+
+let make_type_of_rules (typed : op_sig list) : Egglog.Ast.command list =
   let rule_for (s : op_sig) : Egglog.Ast.command =
-    let n_args = s.n_operands + s.n_attrs + s.n_regions in
-    let vars = List.init n_args (fun i -> Egglog.Ast.Var (Printf.sprintf "?a%d" i)) in
+    let vars = List.init (n_args s) (fun i -> Egglog.Ast.Var (Printf.sprintf "?a%d" i)) in
     let pat = Egglog.Ast.Call (s.egg_name, vars @ [ Var "?t" ]) in
     Egglog.Ast.C_rule
       {
@@ -151,4 +149,22 @@ let type_of_rules (t : t) : Egglog.Ast.command list =
         ruleset = None;
       }
   in
-  value_rule :: (all t |> List.filter (fun s -> s.has_type) |> List.map rule_for)
+  value_rule :: List.map rule_for typed
+
+(* The last result and the (constructor, arity) list it was made from:
+   engines loaded with the same op constructors, as kept engine
+   templates usually are, then share one copy of the rules. *)
+let type_of_memo : ((string * int) list * Egglog.Ast.command list) option ref = ref None
+
+(** Auto-generated [type-of] propagation rules: for every op constructor
+    with a result type, [(rule ((= ?e (op ?a1 ... ?t))) ((set (type-of ?e) ?t)))],
+    plus the rule for [Value] (paper §6.2 relies on these). *)
+let type_of_rules (t : t) : Egglog.Ast.command list =
+  let typed = all t |> List.filter (fun s -> s.has_type) in
+  let key = List.map (fun s -> (s.egg_name, n_args s)) typed in
+  match !type_of_memo with
+  | Some (k, rules) when k = key -> rules
+  | _ ->
+    let rules = make_type_of_rules typed in
+    type_of_memo := Some (key, rules);
+    rules

@@ -57,6 +57,18 @@ let create_pool () =
 
 let set_threadsafe pool on = pool.threadsafe <- on
 
+(* an independent pool with the same codes: later interning in either
+   copy never shows in the other *)
+let copy_pool pool =
+  let s = Atomic.get pool.slab in
+  {
+    slab = Atomic.make { vals = Array.copy s.vals; has_class = Bytes.copy s.has_class };
+    n_vals = pool.n_vals;
+    intern_tbl = Value.Tbl.copy pool.intern_tbl;
+    lock = Mutex.create ();
+    threadsafe = false;
+  }
+
 let rec value_has_class (v : Value.t) =
   match v with
   | Value.Eclass _ -> true
@@ -149,17 +161,19 @@ type table = {
   mutable remap_from : int;  (* the version that remap translates from (-1 none) *)
 }
 
+(* storage is allocated on the first append: an engine declares many
+   tables that never get a row, and kept engine templates hold them all *)
 let create ~arity =
   {
     arity;
     width = arity + 1;
-    data = Array.make (max 8 ((arity + 1) * 8)) 0;
-    stamps = Array.make 8 0;
-    dead = Bytes.make 8 '\000';
+    data = [||];
+    stamps = [||];
+    dead = Bytes.empty;
     n_rows = 0;
     n_dead = 0;
-    slots = Array.make 16 0;
-    mask = 15;
+    slots = [| 0 |];
+    mask = 0;
     version = 0;
     remap = [||];
     remap_from = -1;
@@ -253,7 +267,7 @@ let slot_remove tbl r =
 let rehash tbl =
   (* grow slots to keep the load factor below 1/2 over live rows *)
   let needed = 2 * (n_live tbl + 1) in
-  let size = ref (Array.length tbl.slots) in
+  let size = ref (max 16 (Array.length tbl.slots)) in
   while !size < needed do
     size := !size * 2
   done;
@@ -266,7 +280,7 @@ let rehash tbl =
 let ensure_row_capacity tbl =
   let cap = Array.length tbl.stamps in
   if tbl.n_rows = cap then begin
-    let cap' = cap * 2 in
+    let cap' = max 8 (cap * 2) in
     let data = Array.make (cap' * tbl.width) 0 in
     Array.blit tbl.data 0 data 0 (cap * tbl.width);
     let stamps = Array.make cap' 0 in

@@ -10,6 +10,10 @@ type pool
 
 val create_pool : unit -> pool
 
+(** An independent copy: every code keeps its value, and values interned
+    later into either pool do not appear in the other. *)
+val copy_pool : pool -> pool
+
 (** When on, {!encode} takes the pool's mutex around interning — required
     while several domains search in parallel. *)
 val set_threadsafe : pool -> bool -> unit

@@ -914,9 +914,9 @@ let lookup_row t f args =
     array in place (canonicalization removes rows and inserts fresh
     arrays), so the copy only needs fresh row records and table spines.
     Arena tables copy flat int arrays, which is the cheap case.  The value
-    pool is shared too — it is append-only, and codes stay valid across
-    snapshots. *)
-let copy t : t =
+    pool is shared too unless [pool] is given — it is append-only, and
+    codes stay valid across snapshots. *)
+let copy ?pool t : t =
   let copy_func (f : func) =
     let store =
       match f.store with
@@ -945,7 +945,7 @@ let copy t : t =
   {
     engine = t.engine;
     uf = Union_find.copy t.uf;
-    pool = t.pool;
+    pool = Option.value pool ~default:t.pool;
     funcs;
     func_order = t.func_order;
     sorts = Hashtbl.copy t.sorts;

@@ -234,7 +234,9 @@ val iter_rows_since :
 
 (** Deep copy of the whole e-graph (for push/pop).  Key arrays and the
     value pool are shared with the original (neither is ever mutated in
-    place), so snapshots cost O(rows), not O(rows × arity). *)
-val copy : t -> t
+    place), so snapshots cost O(rows), not O(rows × arity).  [pool]
+    replaces the shared pool; it must hold every code the graph uses
+    (an {!Arena.copy_pool} of it does). *)
+val copy : ?pool:Arena.pool -> t -> t
 
 val pp_stats : Format.formatter -> t -> unit

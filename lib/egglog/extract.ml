@@ -218,6 +218,10 @@ let rec extract_class st cls : term =
     if class_cost st cls >= infinity_cost then
       error "e-class %d has no finite-cost term (cyclic with no base case)" cls;
     Hashtbl.replace st.extracting cls ();
+    (* unmark on failure too: a tie-break candidate that cycles back fails
+       here, and a later request from another parent must not see a
+       false cycle *)
+    Fun.protect ~finally:(fun () -> Hashtbl.remove st.extracting cls) @@ fun () ->
     (* Collect every minimal-cost candidate with its function's declaration
        index.  Keeping just the first winner would make the choice depend on
        row iteration order, which differs between storage engines. *)
@@ -264,7 +268,6 @@ let rec extract_class st cls : term =
         | Some (_, chosen) -> chosen
         | None -> error "e-class %d has no acyclic minimal e-node" cls)
     in
-    Hashtbl.remove st.extracting cls;
     Hashtbl.replace st.chosen cls n.base;
     let term = node ~cls n.func.Egraph.sym sub in
     Hashtbl.replace st.memo cls term;

@@ -46,6 +46,9 @@ type rule = {
   r_ruleset : string option;  (** [None] = the default ruleset *)
   r_refs : Symbol.t list;  (** function tables the premises read *)
   r_plan : Matcher.plan;  (** compiled premises for seminaive matching *)
+  mutable r_pre : Matcher.gplan option option;
+      (** generic-join compilation made ahead of the first search by
+          {!compile_rules}, shared by every {!clone}; [None] = none made *)
   mutable r_gplan : Matcher.gplan option option;
       (** generic-join compilation of [r_plan], resolved lazily at first
           search ([None] = not yet attempted; [Some None] = falls back to
@@ -664,7 +667,15 @@ let run_iteration ?ruleset t (stats : run_stats) : int * bool =
         match r.r_gplan with
         | Some gp -> gp
         | None ->
-          let gp = Matcher.gcompile ~keep:(action_vars r.r_actions) idx r.r_plan in
+          let gp =
+            match r.r_pre with
+            | Some (Some pre) when not (Matcher.gp_binds_global pre t.globals) ->
+              (* what [gcompile] would build now: the same atoms, tables
+                 and literal values; only the search scratch is this
+                 engine's *)
+              Some (Matcher.gp_detach pre)
+            | _ -> Matcher.gcompile ~keep:(action_vars r.r_actions) idx r.r_plan
+          in
           r.r_gplan <- Some gp;
           gp
       in
@@ -994,6 +1005,7 @@ let add_rule t ?name ?ruleset facts actions =
           r_ruleset = ruleset;
           r_refs = fact_refs facts;
           r_plan = Matcher.compile facts;
+          r_pre = None;
           r_gplan = None;
           r_capply = None;
           r_last_scan = -1;
@@ -1136,6 +1148,31 @@ let run_command t (c : Ast.command) : unit =
 
 (** Execute a list of commands; outputs are appended to [t.outputs]. *)
 let run_commands t cmds = List.iter (run_command t) cmds
+
+(** Compile every rule's generic-join plan against the current e-graph,
+    ahead of the first search. *)
+let compile_rules t =
+  let idx = get_index t in
+  List.iter
+    (fun r -> r.r_pre <- Some (Matcher.gcompile ~keep:(action_vars r.r_actions) idx r.r_plan))
+    t.rules
+
+(** An engine in the state [t] is in, sharing nothing mutable with it;
+    [None] once [t] has saturated or holds a [push] snapshot, as such
+    state (scan horizons, journals, snapshot graphs) is not copied. *)
+let clone t =
+  if Option.is_some t.last_stats || t.snapshots <> [] then None
+  else
+    let pool = Arena.copy_pool (Egraph.pool t.eg) in
+    Some
+      {
+        t with
+        eg = Egraph.copy ~pool t.eg;
+        globals = Hashtbl.copy t.globals;
+        rules = List.map (fun r -> { r with r_gplan = None; r_capply = None }) t.rules;
+        idx = None;
+        costs_applied = Hashtbl.copy t.costs_applied;
+      }
 
 (** Execute Egglog source text. *)
 let run_string t src = run_commands t (Parser.parse_program src)

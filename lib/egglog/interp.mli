@@ -17,6 +17,10 @@ type rule = {
   r_ruleset : string option;  (** [None] = the default ruleset *)
   r_refs : Symbol.t list;  (** function tables the premises read *)
   r_plan : Matcher.plan;  (** compiled premises for seminaive matching *)
+  mutable r_pre : Matcher.gplan option option;
+      (** generic-join compilation made ahead of the first search by
+          {!compile_rules} and shared by every {!clone}; the first search
+          adopts it unless a bare pattern name has since become a global *)
   mutable r_gplan : Matcher.gplan option option;
       (** generic-join compilation of [r_plan], resolved lazily at first
           search ([None] = not yet attempted; [Some None] = env-list
@@ -196,6 +200,18 @@ val run_commands : t -> Ast.command list -> unit
 
 (** Parse and execute Egglog source text. *)
 val run_string : t -> string -> unit
+
+(** Compile every rule's generic-join plan now, against the current
+    e-graph and globals, instead of at its first search. *)
+val compile_rules : t -> unit
+
+(** A copy of a loaded engine that shares nothing mutable with it: its
+    own e-graph, value pool, globals, matcher index and rule state.  The
+    plans from {!compile_rules} are shared, each with its own search
+    scratch.  [None] once the engine has run saturation or holds a
+    [push] snapshot — scan horizons, journals and snapshot graphs are
+    not copied. *)
+val clone : t -> t option
 
 (** Outputs in execution order. *)
 val outputs : t -> output list

@@ -1066,7 +1066,7 @@ type gatom = { g_sym : Symbol.t; g_slots : gslot array }
     variable-by-variable over column indexes, then pure-primitive residual
     facts evaluated on the decoded environments. *)
 type gplan = {
-  gp_atoms : gatom array;
+  gp_syms : Symbol.t array;  (* each atom's table; its slots are compiled into the fields below *)
   gp_residuals : Ast.fact list;  (* original premise order preserved *)
   gp_var_names : string array;
   gp_occs : (int * int) array array;  (* var id -> (atom, column) occurrences *)
@@ -1092,6 +1092,9 @@ type gplan = {
       (* (atom, column) pairs the join can probe through [bucket] — literal
          pins and join-variable occurrences; prewarmed before parallel
          search so domains never write to the shared column indexes *)
+  gp_bare : string list;
+      (* pattern names without a [?] that compiled to join variables
+         because no global had that name at compile time *)
   mutable gp_scratch : gscratch option;
       (* per-plan working state reused across searches (a rule is searched
          by at most one domain at a time, so this is race-free); rebuilt
@@ -1151,13 +1154,18 @@ let gcompile ?(keep : string list option) idx (p : plan) : gplan option =
        global (then its value would have to be re-canonicalized every
        iteration — leave those rules to the legacy matcher) *)
     let exception Bail in
+    let bare = ref [] in
     let slot_of (e : Ast.expr) : gslot =
       match e with
       | Ast.Wildcard -> G_free
       | Ast.Lit l -> G_lit (Arena.encode pool (value_of_lit l))
       | Ast.Var x ->
-        if (not (is_pattern_var x)) && Hashtbl.mem idx.globals x then raise Bail
-        else G_var (var_id x)
+        if is_pattern_var x then G_var (var_id x)
+        else if Hashtbl.mem idx.globals x then raise Bail
+        else begin
+          if not (List.mem x !bare) then bare := x :: !bare;
+          G_var (var_id x)
+        end
       | Ast.Call _ -> raise Bail
     in
     let rec has_declared_call (e : Ast.expr) =
@@ -1354,7 +1362,7 @@ let gcompile ?(keep : string list option) idx (p : plan) : gplan option =
       in
       Some
         {
-          gp_atoms;
+          gp_syms = Array.map (fun ga -> ga.g_sym) gp_atoms;
           gp_residuals;
           gp_var_names;
           gp_occs;
@@ -1368,10 +1376,14 @@ let gcompile ?(keep : string list option) idx (p : plan) : gplan option =
           gp_slot;
           gp_join_list;
           gp_probed;
+          gp_bare = !bare;
           gp_scratch = None;
         }
     with Bail -> None
   end
+
+let gp_binds_global gp globals = List.exists (Hashtbl.mem globals) gp.gp_bare
+let gp_detach gp = { gp with gp_scratch = None }
 
 (** Shared generic-join driver: runs every seminaive term of [gp] against
     the snapshot and calls [flush] once per satisfying assignment, with the
@@ -1381,13 +1393,13 @@ let gcompile ?(keep : string list option) idx (p : plan) : gplan option =
 let gsolve_core idx (gp : gplan) ~(since : int) ~(flush : int array -> unit) :
     unit =
   let eg = idx.eg in
-  let n_atoms = Array.length gp.gp_atoms in
+  let n_atoms = Array.length gp.gp_syms in
   let n_vars = Array.length gp.gp_var_names in
   let gs =
     match gp.gp_scratch with
     | Some gs when gs.gs_eg == eg -> gs
     | _ ->
-      let funcs = Array.map (fun ga -> Egraph.find_func eg ga.g_sym) gp.gp_atoms in
+      let funcs = Array.map (Egraph.find_func eg) gp.gp_syms in
       let tables =
         Array.map
           (fun (f : Egraph.func) ->
@@ -1781,7 +1793,7 @@ let gp_slot_sorts idx gp =
   Array.map
     (fun v ->
       let a, c = gp.gp_occs.(v).(0) in
-      let f = Egraph.find_func idx.eg gp.gp_atoms.(a).g_sym in
+      let f = Egraph.find_func idx.eg gp.gp_syms.(a) in
       if c < Array.length f.Egraph.arg_sorts then f.Egraph.arg_sorts.(c)
       else f.Egraph.ret_sort)
     gp.gp_emit
@@ -1830,8 +1842,7 @@ let prewarm idx (p : plan) (gp : gplan option) =
   | Some gp ->
     Array.iter
       (fun (ai, col) ->
-        let ga = gp.gp_atoms.(ai) in
-        match Egraph.find_func_opt idx.eg ga.g_sym with
+        match Egraph.find_func_opt idx.eg gp.gp_syms.(ai) with
         | Some f -> (
           match Egraph.arena_of f with
           | Some a ->

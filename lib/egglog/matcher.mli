@@ -84,6 +84,16 @@ type gplan
     patterns, multi-pattern equations, globals referenced in patterns. *)
 val gcompile : ?keep:string list -> index -> plan -> gplan option
 
+(** Whether a name the plan compiled as a join variable (a pattern name
+    without [?]) is now bound in [globals].  {!gcompile} would reject
+    the plan against those globals, so a caller holding a plan compiled
+    earlier must recompile it. *)
+val gp_binds_global : gplan -> (string, Value.t) Hashtbl.t -> bool
+
+(** A copy of the plan with its own search scratch: the compiled plan is
+    shared, the per-search buffers (and the e-graph they pin) are not. *)
+val gp_detach : gplan -> gplan
+
 (** Generic-join seminaive solve ([~since:-1] degenerates to the full
     naive join).  Same disjoint old/delta/full decomposition as the
     env-list path, executed over sorted row-id columns. *)

@@ -148,6 +148,16 @@ dune exec bin/dialegg_opt.exe -- benchmarks/div_pow2_demo.mlir \
   --egg rules/div_pow2.egg | grep -q arith.shrsi
 echo ok
 
+echo "== dialegg-opt: later functions of a ruleset run on its engine template (--stats) =="
+# the first function loads its own engine, the second loads the
+# template, the third clones it
+for f in a b c; do
+  sed "s/@divs/@$f/" benchmarks/div_pow2_demo.mlir
+done > /tmp/dialegg_template.mlir
+dune exec bin/dialegg_opt.exe -- /tmp/dialegg_template.mlir \
+  --egg rules/div_pow2.egg --stats 2>&1 >/dev/null | grep -q '^engine:.*template reused'
+echo ok
+
 echo "== dialegg-opt: 2MM re-association =="
 dune exec bin/dialegg_opt.exe -- benchmarks/2mm.mlir \
   --egg rules/matmul_assoc.egg | grep -q 'tensor<10x8xf64>'

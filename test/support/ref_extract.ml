@@ -109,6 +109,8 @@ let rec extract_class r cls =
     if class_cost r cls >= infinity_cost then
       error "e-class %d has no finite-cost term (cyclic with no base case)" cls;
     Hashtbl.replace r.busy cls ();
+    (* unmark on failure too, or a later request reports a false cycle *)
+    Fun.protect ~finally:(fun () -> Hashtbl.remove r.busy cls) @@ fun () ->
     let nodes = List.map (fun (fi, f, args, _) -> (fi, f, args, node_cost r f args)) (nodes_of r cls) in
     let best = List.fold_left (fun m (_, _, _, k) -> min m k) infinity_cost nodes in
     let cands = List.filter (fun (_, _, _, k) -> k = best) nodes in
@@ -131,7 +133,6 @@ let rec extract_class r cls =
         | (_, chosen) :: _ -> chosen
         | [] -> error "e-class %d has no acyclic minimal e-node" cls)
     in
-    Hashtbl.remove r.busy cls;
     Hashtbl.replace r.chosen cls (base_cost r f args);
     let t = Extract.node ~cls f.Egraph.sym sub in
     Hashtbl.replace r.memo cls t;

@@ -885,6 +885,149 @@ func.func @f(%x: i64) -> i64 {
   checkb "parses back" true (List.length (Egglog.Parser.parse_program src) > 0);
   checkb "mentions arith_addi" true (contains src "arith_addi")
 
+(* ------------------------------------------------------------------ *)
+(* Engine templates                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Each test keys its own templates: the comment makes the ruleset text,
+   and so the template key, unique to the test. *)
+let template_cfg rules tag = default_cfg (rules ^ "\n; " ^ tag ^ "\n")
+
+let three_funcs =
+  {|
+func.func @fold() -> i32 {
+  %c2 = arith.constant 2 : i32
+  %c3 = arith.constant 3 : i32
+  %sum = arith.addi %c2, %c3 : i32
+  func.return %sum : i32
+}
+func.func @divs(%x: i64) -> i64 {
+  %c256 = arith.constant 256 : i64
+  %r = arith.divsi %x, %c256 : i64
+  func.return %r : i64
+}
+func.func @both(%x: i64) -> i64 {
+  %c1 = arith.constant 1 : i64
+  %c3 = arith.constant 3 : i64
+  %c4 = arith.constant 4 : i64
+  %n = arith.addi %c1, %c3 : i64
+  %d = arith.divsi %x, %n : i64
+  %r = arith.divsi %d, %c4 : i64
+  func.return %r : i64
+}|}
+
+let sources (r : Dialegg.Pipeline.report) =
+  List.map
+    (fun fr -> Dialegg.Pipeline.engine_source_name fr.Dialegg.Pipeline.fr_engine)
+    r.Dialegg.Pipeline.r_funcs
+
+let func_counters (r : Dialegg.Pipeline.report) =
+  List.map
+    (fun (fr : Dialegg.Pipeline.func_report) ->
+      let t = fr.fr_timings in
+      Printf.sprintf "%s: %d iterations, %d matches, cost %d" fr.fr_name
+        t.Dialegg.Pipeline.iterations t.matches t.extracted_cost)
+    r.Dialegg.Pipeline.r_funcs
+
+let test_template_byte_identical () =
+  let config =
+    template_cfg (Dialegg.Rules.const_fold ^ Dialegg.Rules.div_pow2) "byte-identical"
+  in
+  let out1, r1 = Dialegg.Pipeline.optimize_source ~config three_funcs in
+  let out2, r2 = Dialegg.Pipeline.optimize_source ~config three_funcs in
+  Alcotest.(check (list string))
+    "first run: direct, then the template"
+    [ "fresh"; "template built"; "template reused" ]
+    (sources r1);
+  Alcotest.(check (list string))
+    "second run: all from the template"
+    [ "template reused"; "template reused"; "template reused" ]
+    (sources r2);
+  checks "same output" out1 out2;
+  Alcotest.(check (list string)) "same counters" (func_counters r1) (func_counters r2);
+  checkb "the rules fired" true (count_op "arith.shrsi" (Mlir.Parser.parse_module out1) = 3)
+
+let test_template_not_mutated () =
+  let a = template_cfg (Dialegg.Rules.const_fold ^ Dialegg.Rules.div_pow2) "A, B, A" in
+  let b = template_cfg Dialegg.Rules.const_fold "A, B, A" in
+  let opt config = Dialegg.Pipeline.optimize_source ~config three_funcs in
+  let a1, _ = opt a in
+  let b1, _ = opt b in
+  let b2, _ = opt b in
+  let a2, r = opt a in
+  checkb "the rulesets differ in effect" true (a1 <> b1);
+  checks "B again" b1 b2;
+  checks "A again" a1 a2;
+  Alcotest.(check (list string))
+    "A ran on clones"
+    [ "template reused"; "template reused"; "template reused" ]
+    (sources r)
+
+let test_template_after_fault () =
+  let config =
+    template_cfg (Dialegg.Rules.const_fold ^ Dialegg.Rules.div_pow2) "fault then clean"
+  in
+  let clean, _ = Dialegg.Pipeline.optimize_source ~config three_funcs in
+  let faulty =
+    {
+      config with
+      on_limit = Dialegg.Pipeline.Identity;
+      inject = Some { Dialegg.Faults.stage = Dialegg.Faults.Saturate; kind = Dialegg.Faults.K_exn };
+    }
+  in
+  let _, r = Dialegg.Pipeline.optimize_source ~config:faulty three_funcs in
+  checkb "every function degraded" true
+    (List.for_all
+       (fun fr ->
+         match fr.Dialegg.Pipeline.fr_outcome with
+         | Dialegg.Pipeline.Degraded _ -> true
+         | Dialegg.Pipeline.Optimized -> false)
+       r.Dialegg.Pipeline.r_funcs);
+  let again, _ = Dialegg.Pipeline.optimize_source ~config three_funcs in
+  checks "the clean output after a fault" clean again
+
+let test_template_bare_global_name () =
+  (* [op0] has no [?], and eggify binds a global of that name (the first
+     argument) after the template is loaded: the rule must match only
+     that global, [x * 2], on every path, never [y * 2] *)
+  let rules =
+    {|
+(rewrite (arith_muli op0 (arith_constant (NamedAttr "value" (IntegerAttr 2 ?t)) ?t) ?t)
+         (arith_addi op0 op0 ?t))
+|}
+  in
+  let config =
+    { (template_cfg rules "bare op0") with lint = false; vet = false; audit = false }
+  in
+  let body n =
+    Printf.sprintf
+      {|
+func.func @f%d(%%x: i64, %%y: i64) -> i64 {
+  %%c2 = arith.constant 2 : i64
+  %%a = arith.muli %%x, %%c2 : i64
+  %%b = arith.muli %%y, %%c2 : i64
+  %%r = arith.addi %%a, %%b : i64
+  func.return %%r : i64
+}|}
+      n
+  in
+  let out, r =
+    Dialegg.Pipeline.optimize_source ~config (String.concat "" (List.map body [ 1; 2; 3 ]))
+  in
+  Alcotest.(check (list string))
+    "all three paths"
+    [ "fresh"; "template built"; "template reused" ]
+    (sources r);
+  let m = Mlir.Parser.parse_module out in
+  checki "only x * 2 is rewritten, in each function" 3 (count_op "arith.muli" m);
+  let bodies =
+    List.map
+      (fun f -> List.tl (String.split_on_char '\n' (Mlir.Printer.op_to_string f)))
+      (Mlir.Ir.module_ops m)
+  in
+  checkb "identical bodies" true
+    (List.for_all (fun b -> b = List.hd bodies) bodies)
+
 let () =
   Alcotest.run "dialegg"
     [
@@ -943,6 +1086,16 @@ let () =
           Alcotest.test_case "cmpf attrs round-trip" `Quick test_cmpf_predicate_roundtrip;
           Alcotest.test_case "opaque type survives" `Quick test_opaque_type_survives;
           Alcotest.test_case "eggify deterministic" `Quick test_eggify_deterministic;
+        ] );
+      ( "engine-template",
+        [
+          Alcotest.test_case "byte-identical to a fresh engine" `Quick
+            test_template_byte_identical;
+          Alcotest.test_case "clones never mutate the template" `Quick
+            test_template_not_mutated;
+          Alcotest.test_case "clean output after a fault" `Quick test_template_after_fault;
+          Alcotest.test_case "bare pattern name bound later" `Quick
+            test_template_bare_global_name;
         ] );
       ( "properties",
         [

@@ -501,6 +501,34 @@ let test_extract_cycle () =
   let term, _ = Extract.extract (Interp.egraph t) (Interp.global t "a") in
   checks "picks the base case" "(A)" (Extract.term_to_string term)
 
+let test_extract_failed_tiebreak_unmarks () =
+  (* a ties between (Leaf) and the zero-cost (F b), and b's only term
+     (G a) cycles back into a, so that candidate fails; b must not stay
+     marked as being extracted, or the later request for b from (H a b)
+     reports a zero-cost cycle that is not there *)
+  let t = Interp.create () in
+  Interp.run_string t
+    {|
+(sort E)
+(function Leaf () E)
+(function F (E) E :cost 0)
+(function G (E) E :cost 0)
+(function H (E E) E)
+(let a (Leaf))
+(let b (G a))
+(union a (F b))
+(let r (H a b))
+|};
+  let eg = Interp.egraph t in
+  Egraph.rebuild eg;
+  let root = match Interp.global t "r" with Value.Eclass c -> c | _ -> assert false in
+  let expect = "(H (Leaf) (G (Leaf)))" in
+  checks "indexed extractor" expect
+    (Extract.term_to_string (Extract.extract_class (Extract.make eg) root));
+  checks "reference extractor" expect
+    (Extract.term_to_string
+       (Test_support.Ref_extract.extract_class (Test_support.Ref_extract.make eg) root))
+
 let test_extract_cost_value () =
   let _, outs =
     run_ok
@@ -1148,6 +1176,8 @@ let () =
           Alcotest.test_case "extraction shares subterms" `Quick test_extract_shared_physical;
           Alcotest.test_case "extraction avoids cycles" `Quick test_extract_cycle;
           Alcotest.test_case "extraction cost arithmetic" `Quick test_extract_cost_value;
+          Alcotest.test_case "failed tie-break leaves no marks" `Quick
+            test_extract_failed_tiebreak_unmarks;
           Alcotest.test_case "extraction matches reference (property)" `Quick
             test_extract_matches_reference;
           Alcotest.test_case "rules create nodes" `Quick test_rule_creates_nodes;

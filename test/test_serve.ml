@@ -781,6 +781,45 @@ let test_disk_cache_prune_concurrent () =
   in
   checkb "every entry is gone despite the race" true (left = [])
 
+let test_disk_cache_estimate_matches_scans () =
+  (* a single writer that scans only when its estimate passes the cap
+     must leave exactly the entries a scan after every commit leaves;
+     mtimes are set from a logical clock so both directories order their
+     entries identically *)
+  let max = 600 in
+  let names = List.init 12 (fun i -> Printf.sprintf "e%02d%s" i (List.nth Dialegg.Disk_cache.cache_exts (i mod 3))) in
+  let entries d =
+    List.sort compare
+      (List.filter Dialegg.Disk_cache.(fun n -> List.exists (Filename.check_suffix n) cache_exts)
+         (Array.to_list (Sys.readdir d)))
+  in
+  for seed = 1 to 20 do
+    let rng = Random.State.make [| seed |] in
+    let a = fresh_dir () and b = fresh_dir () in
+    let clock = ref 1_000_000. in
+    let stamp name =
+      clock := !clock +. 1.;
+      List.iter (fun d -> Unix.utimes (Filename.concat d name) !clock !clock) [ a; b ]
+    in
+    for step = 1 to 60 do
+      let name = List.nth names (Random.State.int rng (List.length names)) in
+      (match Random.State.int rng 10 with
+      | 0 ->
+        (* a reader drops an entry it found corrupt *)
+        List.iter (fun d -> try Sys.remove (Filename.concat d name) with Sys_error _ -> ()) [ a; b ]
+      | 1 -> if List.mem name (entries a) then stamp name
+      | _ ->
+        let payload = String.make (1 + Random.State.int rng 200) 'x' in
+        Dialegg.Disk_cache.write_entry ~max ~dir:a ~file:name (fun oc -> output_string oc payload);
+        write_file (Filename.concat b name) payload;
+        Dialegg.Disk_cache.prune ~max ~dir:b ();
+        stamp name);
+      Alcotest.(check (list string))
+        (Printf.sprintf "seed %d step %d: same survivors" seed step)
+        (entries b) (entries a)
+    done
+  done
+
 let test_disk_cache_max_bytes_env () =
   let prev = Sys.getenv_opt "DIALEGG_CACHE_MAX_MB" in
   Fun.protect
@@ -1377,6 +1416,8 @@ let () =
             test_disk_cache_prune_concurrent;
           Alcotest.test_case "size cap from the environment" `Quick
             test_disk_cache_max_bytes_env;
+          Alcotest.test_case "estimate evicts what scans evict" `Quick
+            test_disk_cache_estimate_matches_scans;
           Alcotest.test_case "vet/audit/result coexistence" `Quick
             test_disk_cache_coexistence;
           Alcotest.test_case "failed atomic write leaves no temp" `Quick
